@@ -1,16 +1,19 @@
 // Engineering microbenchmarks (google-benchmark): the hot paths of the
-// arbitrator and the Calypso runtime.  Not part of the paper's evaluation;
+// arbitrator, the wire codec and the Calypso runtime.  Not part of the paper's evaluation;
 // used to keep the 10,000-job figure sweeps fast and to quantify runtime
 // overheads.
 #include <benchmark/benchmark.h>
 
 #include "calypso/runtime.h"
 #include "common/rng.h"
+#include "qos/qos.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
 #include "sched/greedy_arbitrator.h"
+#include "service/protocol.h"
 #include "sim/engine.h"
 #include "workload/fig4.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -205,6 +208,95 @@ void BM_SimulationThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulationThroughput)->Arg(1000)->Arg(10000);
+
+// --- Wire codec --------------------------------------------------------------
+//
+// One NEGOTIATE request and its response per iteration, cycling through the
+// flash-crowd preset's jobs (and their admissions on a 32-processor
+// arbitrator), so the frames have the sizes and shapes tprmd sees.
+
+struct CodecCorpus {
+  std::vector<service::Request> requests;
+  std::vector<service::Response> responses;
+  std::vector<std::string> requestFrames;
+  std::vector<std::string> responseFrames;
+};
+
+const CodecCorpus& flashCrowdCorpus() {
+  static const CodecCorpus corpus = [] {
+    CodecCorpus c;
+    const auto params = workload::scenarioByName("flash-crowd", 7, 256);
+    const auto scenario = workload::ScenarioGenerator(*params).generate();
+    qos::QoSArbitrator arbitrator(32);
+    for (const auto& job : scenario.jobs) {
+      service::Request request;
+      request.id = job.id + 1;
+      request.command = service::Command::Negotiate;
+      request.payload = service::NegotiateRequest{job.spec, job.release};
+      const auto decision = arbitrator.submit(job.spec, job.release);
+      service::NegotiateResult result;
+      result.admitted = decision.admitted;
+      result.jobId = job.id;
+      result.arrivalSeq = job.id;
+      result.chainIndex = decision.schedule.chainIndex;
+      result.quality = decision.quality;
+      result.release = job.release;
+      result.placements = decision.schedule.placements;
+      result.chainsConsidered = decision.chainsConsidered;
+      result.chainsSchedulable = decision.chainsSchedulable;
+      service::Response response;
+      response.id = request.id;
+      response.ok = true;
+      response.result = std::move(result);
+      c.requestFrames.push_back(service::encodeRequest(request));
+      c.responseFrames.push_back(service::encodeResponse(response));
+      c.requests.push_back(std::move(request));
+      c.responses.push_back(std::move(response));
+    }
+    return c;
+  }();
+  return corpus;
+}
+
+/// Runs `op` on each element of `items` in turn and reports bytes per second
+/// over `bytes` (the encoded frame of each element).
+template <typename T, typename Op>
+void runCodec(benchmark::State& state, const std::vector<T>& items,
+              const std::vector<std::string>& bytes, Op op) {
+  std::size_t i = 0;
+  std::int64_t processed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(op(items[i]));
+    processed += static_cast<std::int64_t>(bytes[i].size());
+    i = i + 1 == items.size() ? 0 : i + 1;
+  }
+  state.SetBytesProcessed(processed);
+}
+
+void BM_EncodeRequest(benchmark::State& state) {
+  const auto& c = flashCrowdCorpus();
+  runCodec(state, c.requests, c.requestFrames, service::encodeRequest);
+}
+BENCHMARK(BM_EncodeRequest);
+
+void BM_DecodeRequest(benchmark::State& state) {
+  const auto& c = flashCrowdCorpus();
+  runCodec(state, c.requestFrames, c.requestFrames, service::decodeRequest);
+}
+BENCHMARK(BM_DecodeRequest);
+
+void BM_EncodeResponse(benchmark::State& state) {
+  const auto& c = flashCrowdCorpus();
+  runCodec(state, c.responses, c.responseFrames, service::encodeResponse);
+}
+BENCHMARK(BM_EncodeResponse);
+
+void BM_DecodeResponse(benchmark::State& state) {
+  const auto& c = flashCrowdCorpus();
+  runCodec(state, c.responseFrames, c.responseFrames,
+           service::decodeResponse);
+}
+BENCHMARK(BM_DecodeResponse);
 
 void BM_CalypsoStepOverhead(benchmark::State& state) {
   calypso::Runtime runtime(

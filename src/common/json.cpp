@@ -1,6 +1,5 @@
 #include "common/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -38,7 +37,7 @@ const JsonValue::Object& JsonValue::asObject() const {
   return std::get<Object>(value_);
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (!isObject()) return nullptr;
   const auto& object = std::get<Object>(value_);
   const auto it = object.find(key);
@@ -51,9 +50,19 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 namespace {
 
-void appendEscaped(std::string& out, const std::string& s) {
+/// True for the bytes appendEscaped must rewrite.
+bool needsEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+void appendEscaped(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!needsEscape(c)) continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -62,31 +71,41 @@ void appendEscaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buffer;
+      }
     }
   }
+  out.append(s.substr(run));
   out += '"';
 }
 
-void appendNumber(std::string& out, double d) {
+/// Integral values below 1e15 print without a fractional part (the bytes of
+/// "%.0f").  Every other value prints either as "%.17g" — the long-standing
+/// dump() form, which std::to_chars with chars_format::general and precision
+/// 17 reproduces exactly — or, for the compact form, as the shortest digits
+/// that parse back to the same double.
+void appendNumber(std::string& out, double d, bool shortest) {
+  char buffer[32];
+  std::to_chars_result written{};
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    // Integral values print without a fractional part.
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", d);
-    out += buffer;
+    if (d == 0.0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    written = std::to_chars(buffer, buffer + sizeof buffer,
+                            static_cast<std::int64_t>(d));
+  } else if (shortest) {
+    written = std::to_chars(buffer, buffer + sizeof buffer, d);
   } else {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", d);
-    out += buffer;
+    written = std::to_chars(buffer, buffer + sizeof buffer, d,
+                            std::chars_format::general, 17);
   }
+  TPRM_CHECK(written.ec == std::errc{}, "number does not fit its buffer");
+  out.append(buffer, written.ptr);
 }
 
 void appendIndent(std::string& out, int indent) {
@@ -101,7 +120,7 @@ void JsonValue::dumpTo(std::string& out, int indent) const {
   } else if (isBool()) {
     out += asBool() ? "true" : "false";
   } else if (isNumber()) {
-    appendNumber(out, asNumber());
+    appendNumber(out, asNumber(), /*shortest=*/false);
   } else if (isString()) {
     appendEscaped(out, asString());
   } else if (isArray()) {
@@ -152,7 +171,7 @@ void JsonValue::dumpCompactTo(std::string& out) const {
   } else if (isBool()) {
     out += asBool() ? "true" : "false";
   } else if (isNumber()) {
-    appendNumber(out, asNumber());
+    appendNumber(out, asNumber(), /*shortest=*/true);
   } else if (isString()) {
     appendEscaped(out, asString());
   } else if (isArray()) {
@@ -180,6 +199,67 @@ std::string JsonValue::dumpCompact() const {
   std::string out;
   dumpCompactTo(out);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Streaming writer
+// ---------------------------------------------------------------------------
+
+void JsonWriter::separate() {
+  if (!first_) *out_ += ',';
+  first_ = false;
+}
+
+JsonWriter& JsonWriter::beginObject() {
+  separate();
+  *out_ += '{';
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::endObject() {
+  *out_ += '}';
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::beginArray() {
+  separate();
+  *out_ += '[';
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::endArray() {
+  *out_ += ']';
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  appendEscaped(*out_, name);
+  *out_ += ':';
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  separate();
+  appendNumber(*out_, d, /*shortest=*/true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  separate();
+  *out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  separate();
+  appendEscaped(*out_, s);
+  return *this;
 }
 
 // ---------------------------------------------------------------------------
@@ -285,9 +365,12 @@ class Parser {
       if (atEnd() || peek() != ':') return fail("expected ':' after key");
       ++pos_;
       skipWhitespace();
-      JsonValue value;
-      if (!parseValue(value)) return false;
-      object[std::move(key)] = std::move(value);
+      // Keys usually arrive sorted (every writer here emits them so): the
+      // end hint makes that case amortised constant.  The value is parsed
+      // in place; a duplicate key parses over the earlier value, so the
+      // last one wins.
+      const auto slot = object.try_emplace(object.end(), std::move(key));
+      if (!parseValue(slot->second)) return false;
       skipWhitespace();
       if (atEnd()) return fail("unterminated object");
       if (peek() == ',') {
@@ -317,9 +400,7 @@ class Parser {
     }
     for (;;) {
       skipWhitespace();
-      JsonValue value;
-      if (!parseValue(value)) return false;
-      array.push_back(std::move(value));
+      if (!parseValue(array.emplace_back())) return false;
       skipWhitespace();
       if (atEnd()) return fail("unterminated array");
       if (peek() == ',') {
@@ -340,15 +421,19 @@ class Parser {
     ++pos_;  // '"'
     out.clear();
     while (!atEnd()) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
+      if (atEnd()) break;
       const char c = text_[pos_++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("unescaped control character in string");
       if (atEnd()) return fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -399,22 +484,24 @@ class Parser {
     return fail("unterminated string");
   }
 
+  static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
   bool parseNumber(JsonValue& out) {
     const std::size_t start = pos_;
     if (!atEnd() && peek() == '-') ++pos_;
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+    while (!atEnd() && isDigit(peek())) {
       ++pos_;
     }
     if (!atEnd() && peek() == '.') {
       ++pos_;
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+      while (!atEnd() && isDigit(peek())) {
         ++pos_;
       }
     }
     if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
       ++pos_;
       if (!atEnd() && (peek() == '+' || peek() == '-')) ++pos_;
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+      while (!atEnd() && isDigit(peek())) {
         ++pos_;
       }
     }

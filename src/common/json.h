@@ -9,21 +9,24 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 namespace tprm {
 
 /// A parsed JSON value.  Objects preserve no duplicate keys (last wins) and
-/// iterate in key order.
+/// iterate in key order.  The object comparator is transparent, so lookups
+/// by `std::string_view` or string literal build no temporary string.
 class JsonValue {
  public:
   using Array = std::vector<JsonValue>;
-  using Object = std::map<std::string, JsonValue>;
+  using Object = std::map<std::string, JsonValue, std::less<>>;
 
   JsonValue() : value_(nullptr) {}                        // null
   JsonValue(std::nullptr_t) : value_(nullptr) {}          // NOLINT(runtime/explicit)
@@ -64,13 +67,15 @@ class JsonValue {
   [[nodiscard]] const Object& asObject() const;
 
   /// Object field lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(const std::string& key) const;
+  [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
   /// Serialises with 2-space indentation and sorted keys (stable output).
   [[nodiscard]] std::string dump() const;
 
-  /// Serialises without any whitespace (sorted keys).  One value per line:
-  /// the JSON-lines form used by periodic metric snapshots.
+  /// Serialises without any whitespace (sorted keys): the wire form of the
+  /// negotiation protocol, and the JSON-lines form of periodic metric
+  /// snapshots.  Non-integral numbers print in the shortest form that parses
+  /// back to the same double (dump() keeps its 17-significant-digit form).
   [[nodiscard]] std::string dumpCompact() const;
 
   bool operator==(const JsonValue& other) const = default;
@@ -81,6 +86,45 @@ class JsonValue {
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
+};
+
+/// Streams compact JSON straight into a string, for hot encoders that would
+/// otherwise build a JsonValue only to dump it.  Callers write each object's
+/// keys in sorted order, so the bytes equal dumpCompact() of the same
+/// document: no whitespace, numbers printed exactly as dumpCompact() prints
+/// them (integers widened to double first, as a JsonValue would hold them).
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(&out) {}
+
+  JsonWriter& beginObject();
+  JsonWriter& endObject();
+  JsonWriter& beginArray();
+  JsonWriter& endArray();
+  /// Object key; the next call writes its value.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& value(double d);
+  JsonWriter& value(std::int64_t i) { return value(static_cast<double>(i)); }
+  JsonWriter& value(int i) { return value(static_cast<double>(i)); }
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+
+  /// key(name).value(v).
+  template <typename T>
+  JsonWriter& member(std::string_view name, const T& v) {
+    return key(name).value(v);
+  }
+
+ private:
+  /// Writes the ',' that separates this item from the previous one.
+  void separate();
+
+  std::string* out_;
+  /// True until the open container gets its first item, and right after a
+  /// key (a value never takes a separator).
+  bool first_ = true;
 };
 
 /// Parse outcome: a value or an error message with a byte offset.

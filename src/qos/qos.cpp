@@ -35,14 +35,27 @@ void QoSArbitrator::attachMetrics(obs::NegotiationMetrics* metrics) {
 }
 
 void QoSArbitrator::retireFinished() {
-  for (auto it = live_.begin(); it != live_.end();) {
+  while (!retireQueue_.empty() && retireQueue_.top().first <= clock_) {
+    const std::uint64_t jobId = retireQueue_.top().second;
+    retireQueue_.pop();
+    const auto it = live_.find(jobId);
+    if (it == live_.end()) continue;  // cancelled, dropped or retired
     const auto& placements = it->second.placements;
     if (!placements.empty() && placements.back().interval.end <= clock_) {
-      it = live_.erase(it);
-    } else {
-      ++it;
+      live_.erase(it);
     }
   }
+  // Stale entries of jobs that left early, or still-live jobs that moved,
+  // wait for their end; rebuild when they outnumber the live jobs.
+  if (retireQueue_.size() > 2 * live_.size() + 64) {
+    retireQueue_ = {};
+    for (const auto& [jobId, job] : live_) trackRetirement(jobId, job);
+  }
+}
+
+void QoSArbitrator::trackRetirement(std::uint64_t jobId, const LiveJob& job) {
+  if (job.placements.empty()) return;  // never retires
+  retireQueue_.emplace(job.placements.back().interval.end, jobId);
 }
 
 void QoSArbitrator::record(std::uint64_t jobId, std::size_t chainIndex,
@@ -93,9 +106,16 @@ sched::AdmissionDecision QoSArbitrator::submit(
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
   record(job.id, decision.schedule.chainIndex, decision.schedule.placements);
-  live_[job.id] = LiveJob{spec, release, decision.schedule.chainIndex,
-                          decision.schedule.placements, decision.quality,
-                          decision.quality};
+  LiveJob& admittedJob = live_[job.id];
+  admittedJob = LiveJob{spec,
+                        release,
+                        decision.schedule.chainIndex,
+                        decision.schedule.placements,
+                        decision.quality,
+                        decision.quality,
+                        /*pinned=*/false,
+                        /*taskIndices=*/{}};
+  trackRetirement(job.id, admittedJob);
   return decision;
 }
 
@@ -333,6 +353,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
                             decision.schedule.placements.end());
       record(jobId, job.chainIndex, decision.schedule.placements, firstFuture);
     }
+    trackRetirement(jobId, job);
   }
   return report;
 }
@@ -450,6 +471,7 @@ void QoSArbitrator::applyMove(const QualityMove& move) {
   job.chainIndex = move.toChain;
   job.placements = move.schedule.placements;
   job.currentQuality = move.toQuality;
+  trackRetirement(move.jobId, job);
   if (metrics_ != nullptr) {
     if (move.promotion) {
       metrics_->elastic.promotions->add();
@@ -575,6 +597,7 @@ std::uint64_t QoSArbitrator::gangCommit(
   job.currentQuality = quality;
   job.pinned = true;
   job.taskIndices = taskIndices;
+  trackRetirement(jobId, job);
   live_[jobId] = std::move(job);
   ++admitted_;
   return jobId;

@@ -18,7 +18,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "resource/availability_profile.h"
@@ -272,8 +274,13 @@ class QoSArbitrator {
     return job.taskIndices.empty() ? k : job.taskIndices[k];
   }
 
-  /// Retires finished jobs from the live map.
+  /// Retires finished jobs (last placement ended by the clock) from the
+  /// live map.  Pops the retire queue, so it costs O(retired log n), not a
+  /// walk over every live job.
   void retireFinished();
+  /// Queues the job's current last placement end for retirement; called
+  /// wherever a live job's placements are set.
+  void trackRetirement(std::uint64_t jobId, const LiveJob& job);
   /// Records a job's placements in the current-era ledger.
   void record(std::uint64_t jobId, std::size_t chainIndex,
               const std::vector<sched::TaskPlacement>& placements,
@@ -320,6 +327,12 @@ class QoSArbitrator {
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::map<std::uint64_t, LiveJob> live_;
+  /// Min-heap of (last placement end, job id), one entry per placement
+  /// change.  Entries left behind by a later move, cancel or drop are
+  /// skipped when popped: a job retires only if its *current* end has passed.
+  using RetireEntry = std::pair<Time, std::uint64_t>;
+  std::priority_queue<RetireEntry, std::vector<RetireEntry>, std::greater<>>
+      retireQueue_;
   /// Open phase-1 gang reserve (see gangReserve); destruction rolls back.
   std::unique_ptr<resource::AvailabilityProfile::Trial> gangTrial_;
   obs::NegotiationMetrics* metrics_ = nullptr;  // nullable observation hook

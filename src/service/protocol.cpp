@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -12,26 +13,30 @@ namespace tprm::service {
 namespace {
 
 // --- Encode helpers -------------------------------------------------------
+//
+// Encoders stream compact JSON with every object's keys in sorted order, so
+// a frame is byte-identical to dumpCompact() of the same document.
 
-JsonValue placementsToJson(const std::vector<sched::TaskPlacement>& ps) {
-  JsonValue::Array array;
+void writePlacements(JsonWriter& w,
+                     const std::vector<sched::TaskPlacement>& ps) {
+  w.beginArray();
   for (const auto& p : ps) {
-    JsonValue::Object o;
-    o["begin"] = unitsFromTicks(p.interval.begin);
-    o["end"] = unitsFromTicks(p.interval.end);
-    o["processors"] = p.processors;
-    if (p.deadline < kTimeInfinity) o["deadline"] = unitsFromTicks(p.deadline);
-    array.emplace_back(std::move(o));
+    w.beginObject().member("begin", unitsFromTicks(p.interval.begin));
+    if (p.deadline < kTimeInfinity) {
+      w.member("deadline", unitsFromTicks(p.deadline));
+    }
+    w.member("end", unitsFromTicks(p.interval.end))
+        .member("processors", p.processors)
+        .endObject();
   }
-  return JsonValue(std::move(array));
+  w.endArray();
 }
 
-JsonValue idsToJson(const std::vector<std::uint64_t>& ids) {
-  JsonValue::Array array;
-  for (const auto id : ids) {
-    array.emplace_back(static_cast<std::int64_t>(id));
-  }
-  return JsonValue(std::move(array));
+void writeIds(JsonWriter& w, std::string_view key,
+              const std::vector<std::uint64_t>& ids) {
+  w.key(key).beginArray();
+  for (const auto id : ids) w.value(static_cast<std::int64_t>(id));
+  w.endArray();
 }
 
 // --- Decode helpers -------------------------------------------------------
@@ -156,39 +161,48 @@ const char* toString(Command command) {
 }
 
 std::string encodeRequest(const Request& request) {
-  JsonValue::Object o;
-  o["v"] = static_cast<std::int64_t>(request.version);
-  o["id"] = static_cast<std::int64_t>(request.id);
-  o["cmd"] = toString(request.command);
+  std::string out;
+  JsonWriter w(out);
+  const auto version = static_cast<std::int64_t>(request.version);
+  w.beginObject()
+      .member("cmd", toString(request.command))
+      .member("id", static_cast<std::int64_t>(request.id));
+  // Each command's remaining keys, in sorted order.
   switch (request.command) {
     case Command::Negotiate: {
       const auto& p = std::get<NegotiateRequest>(request.payload);
-      o["release"] = unitsFromTicks(p.release);
-      o["spec"] = task::toJsonValue(p.spec);
+      w.member("release", unitsFromTicks(p.release)).key("spec");
+      task::writeJson(w, p.spec);
+      w.member("v", version);
       break;
     }
     case Command::Cancel: {
       const auto& p = std::get<CancelRequest>(request.payload);
-      o["jobId"] = static_cast<std::int64_t>(p.jobId);
+      w.member("jobId", static_cast<std::int64_t>(p.jobId))
+          .member("v", version);
       break;
     }
     case Command::Resize: {
       const auto& p = std::get<ResizeRequest>(request.payload);
-      o["processors"] = p.processors;
-      o["when"] = unitsFromTicks(p.when);
+      w.member("processors", p.processors)
+          .member("v", version)
+          .member("when", unitsFromTicks(p.when));
       break;
     }
     case Command::Hello: {
       const auto& p = std::get<HelloRequest>(request.payload);
-      o["window"] = static_cast<std::int64_t>(p.window);
+      w.member("v", version)
+          .member("window", static_cast<std::int64_t>(p.window));
       break;
     }
     case Command::Stats:
     case Command::Verify:
     case Command::Reshapes:
+      w.member("v", version);
       break;
   }
-  return JsonValue(std::move(o)).dump();
+  w.endObject();
+  return out;
 }
 
 RequestParseResult decodeRequest(const std::string& text) {
@@ -273,104 +287,134 @@ RequestParseResult decodeRequest(const std::string& text) {
   return result;
 }
 
-std::string encodeResponse(const Response& response) {
-  JsonValue::Object o;
-  o["id"] = static_cast<std::int64_t>(response.id);
-  o["ok"] = response.ok;
-  if (response.advertisedWindow.has_value()) {
-    o["window"] = static_cast<std::int64_t>(*response.advertisedWindow);
+namespace {
+
+/// The "cmd" an ok response echoes for its result type.
+struct ResultCommand {
+  const char* operator()(const std::monostate&) const {
+    TPRM_CHECK(false, "ok response without a result payload");
+    return "";
   }
-  if (!response.ok) {
-    TPRM_CHECK(response.error.has_value(),
-               "error responses must carry ErrorInfo");
-    JsonValue::Object e;
-    e["code"] = response.error->code;
-    e["message"] = response.error->message;
-    o["error"] = std::move(e);
-    return JsonValue(std::move(o)).dump();
+  const char* operator()(const NegotiateResult&) const {
+    return toString(Command::Negotiate);
   }
+  const char* operator()(const CancelResult&) const {
+    return toString(Command::Cancel);
+  }
+  const char* operator()(const ResizeResult&) const {
+    return toString(Command::Resize);
+  }
+  const char* operator()(const StatsResult&) const {
+    return toString(Command::Stats);
+  }
+  const char* operator()(const VerifyResult&) const {
+    return toString(Command::Verify);
+  }
+  const char* operator()(const HelloResult&) const {
+    return toString(Command::Hello);
+  }
+  const char* operator()(const ReshapesResult& reshapes) const {
+    return reshapes.push ? "RESHAPED" : toString(Command::Reshapes);
+  }
+};
+
+/// The fields of an ok response's "result" object, in sorted key order.
+void writeResult(JsonWriter& w, const Response& response) {
   if (const auto* negotiate = std::get_if<NegotiateResult>(&response.result)) {
-    o["cmd"] = toString(Command::Negotiate);
-    JsonValue::Object res;
-    res["admitted"] = negotiate->admitted;
-    res["arrivalSeq"] = static_cast<std::int64_t>(negotiate->arrivalSeq);
-    res["jobId"] = static_cast<std::int64_t>(negotiate->jobId);
-    res["release"] = unitsFromTicks(negotiate->release);
-    res["chainsConsidered"] = negotiate->chainsConsidered;
-    res["chainsSchedulable"] = negotiate->chainsSchedulable;
-    if (negotiate->admitted) {
-      res["chainIndex"] = static_cast<std::int64_t>(negotiate->chainIndex);
-      res["quality"] = negotiate->quality;
-      res["placements"] = placementsToJson(negotiate->placements);
-      if (!negotiate->bindings.empty()) {
-        JsonValue::Object bindings;
-        for (const auto& [param, value] : negotiate->bindings) {
-          bindings[param] = value;
-        }
-        res["bindings"] = std::move(bindings);
+    w.member("admitted", negotiate->admitted)
+        .member("arrivalSeq", static_cast<std::int64_t>(negotiate->arrivalSeq));
+    if (negotiate->admitted && !negotiate->bindings.empty()) {
+      w.key("bindings").beginObject();
+      for (const auto& [param, value] : negotiate->bindings) {
+        w.member(param, value);
       }
+      w.endObject();
     }
-    o["result"] = std::move(res);
+    if (negotiate->admitted) {
+      w.member("chainIndex", static_cast<std::int64_t>(negotiate->chainIndex));
+    }
+    w.member("chainsConsidered", negotiate->chainsConsidered)
+        .member("chainsSchedulable", negotiate->chainsSchedulable)
+        .member("jobId", static_cast<std::int64_t>(negotiate->jobId));
+    if (negotiate->admitted) {
+      w.key("placements");
+      writePlacements(w, negotiate->placements);
+      w.member("quality", negotiate->quality);
+    }
+    w.member("release", unitsFromTicks(negotiate->release));
   } else if (const auto* cancel = std::get_if<CancelResult>(&response.result)) {
-    o["cmd"] = toString(Command::Cancel);
-    JsonValue::Object res;
-    res["freed"] = unitsFromTicks(cancel->freedTicks);
-    o["result"] = std::move(res);
+    w.member("freed", unitsFromTicks(cancel->freedTicks));
   } else if (const auto* resize = std::get_if<ResizeResult>(&response.result)) {
-    o["cmd"] = toString(Command::Resize);
-    JsonValue::Object res;
-    res["processorsBefore"] = resize->processorsBefore;
-    res["processorsAfter"] = resize->processorsAfter;
-    res["kept"] = idsToJson(resize->kept);
-    res["reconfigured"] = idsToJson(resize->reconfigured);
-    res["dropped"] = idsToJson(resize->dropped);
-    o["result"] = std::move(res);
+    writeIds(w, "dropped", resize->dropped);
+    writeIds(w, "kept", resize->kept);
+    w.member("processorsAfter", resize->processorsAfter)
+        .member("processorsBefore", resize->processorsBefore);
+    writeIds(w, "reconfigured", resize->reconfigured);
   } else if (const auto* stats = std::get_if<StatsResult>(&response.result)) {
-    o["cmd"] = toString(Command::Stats);
-    JsonValue::Object res;
-    res["processors"] = stats->processors;
-    res["clock"] = unitsFromTicks(stats->clock);
-    res["admitted"] = static_cast<std::int64_t>(stats->admitted);
-    res["rejected"] = static_cast<std::int64_t>(stats->rejected);
-    res["commandsExecuted"] =
-        static_cast<std::int64_t>(stats->commandsExecuted);
-    res["shards"] = stats->shards;
-    o["result"] = std::move(res);
+    w.member("admitted", static_cast<std::int64_t>(stats->admitted))
+        .member("clock", unitsFromTicks(stats->clock))
+        .member("commandsExecuted",
+                static_cast<std::int64_t>(stats->commandsExecuted))
+        .member("processors", stats->processors)
+        .member("rejected", static_cast<std::int64_t>(stats->rejected))
+        .member("shards", stats->shards);
   } else if (const auto* verify = std::get_if<VerifyResult>(&response.result)) {
-    o["cmd"] = toString(Command::Verify);
-    JsonValue::Object res;
-    res["ok"] = verify->ok;
-    res["violations"] = verify->violations;
-    if (!verify->ok) res["firstViolation"] = verify->firstViolation;
-    o["result"] = std::move(res);
+    if (!verify->ok) w.member("firstViolation", verify->firstViolation);
+    w.member("ok", verify->ok).member("violations", verify->violations);
   } else if (const auto* hello = std::get_if<HelloResult>(&response.result)) {
-    o["cmd"] = toString(Command::Hello);
-    JsonValue::Object res;
-    res["version"] = static_cast<std::int64_t>(hello->version);
-    res["window"] = static_cast<std::int64_t>(hello->window);
-    o["result"] = std::move(res);
+    w.member("version", static_cast<std::int64_t>(hello->version))
+        .member("window", static_cast<std::int64_t>(hello->window));
   } else if (const auto* reshapes =
                  std::get_if<ReshapesResult>(&response.result)) {
-    o["cmd"] = reshapes->push ? "RESHAPED" : toString(Command::Reshapes);
-    JsonValue::Object res;
-    JsonValue::Array events;
+    w.key("events").beginArray();
     for (const auto& event : reshapes->events) {
-      JsonValue::Object e;
-      e["jobId"] = static_cast<std::int64_t>(event.jobId);
-      e["promotion"] = event.promotion;
-      e["fromChain"] = static_cast<std::int64_t>(event.fromChain);
-      e["toChain"] = static_cast<std::int64_t>(event.toChain);
-      e["fromQuality"] = event.fromQuality;
-      e["toQuality"] = event.toQuality;
-      e["placements"] = placementsToJson(event.placements);
-      events.emplace_back(std::move(e));
+      w.beginObject()
+          .member("fromChain", static_cast<std::int64_t>(event.fromChain))
+          .member("fromQuality", event.fromQuality)
+          .member("jobId", static_cast<std::int64_t>(event.jobId))
+          .key("placements");
+      writePlacements(w, event.placements);
+      w.member("promotion", event.promotion)
+          .member("toChain", static_cast<std::int64_t>(event.toChain))
+          .member("toQuality", event.toQuality)
+          .endObject();
     }
-    res["events"] = JsonValue(std::move(events));
-    o["result"] = std::move(res);
-  } else {
-    TPRM_CHECK(false, "ok response without a result payload");
+    w.endArray();
   }
-  return JsonValue(std::move(o)).dump();
+}
+
+}  // namespace
+
+std::string encodeResponse(const Response& response) {
+  std::string out;
+  JsonWriter w(out);
+  const auto id = static_cast<std::int64_t>(response.id);
+  // Top-level keys in sorted order: cmd, error, id, ok, result, window.
+  w.beginObject();
+  if (response.ok) {
+    w.member("cmd", std::visit(ResultCommand{}, response.result))
+        .member("id", id)
+        .member("ok", true)
+        .key("result")
+        .beginObject();
+    writeResult(w, response);
+    w.endObject();
+  } else {
+    TPRM_CHECK(response.error.has_value(),
+               "error responses must carry ErrorInfo");
+    w.key("error")
+        .beginObject()
+        .member("code", response.error->code)
+        .member("message", response.error->message)
+        .endObject()
+        .member("id", id)
+        .member("ok", false);
+  }
+  if (response.advertisedWindow.has_value()) {
+    w.member("window", static_cast<std::int64_t>(*response.advertisedWindow));
+  }
+  w.endObject();
+  return out;
 }
 
 ResponseParseResult decodeResponse(const std::string& text) {

@@ -1,51 +1,59 @@
 #include "taskmodel/spec_io.h"
 
 #include <cmath>
-#include <sstream>
+#include <string>
+
+#include "common/check.h"
 
 namespace tprm::task {
 
-JsonValue toJsonValue(const TunableJobSpec& spec) {
-  JsonValue::Array chains;
+void writeJson(JsonWriter& writer, const TunableJobSpec& spec) {
+  // Keys in sorted order at every level (see JsonWriter).
+  writer.beginObject().key("chains").beginArray();
   for (const auto& chain : spec.chains) {
-    JsonValue::Array tasks;
-    for (const auto& t : chain.tasks) {
-      JsonValue::Object task;
-      task["name"] = t.name;
-      task["processors"] = t.request.processors;
-      task["duration"] = unitsFromTicks(t.request.duration);
-      if (t.relativeDeadline < kTimeInfinity) {
-        task["deadline"] = unitsFromTicks(t.relativeDeadline);
-      }
-      if (t.quality != 1.0) task["quality"] = t.quality;
-      if (t.malleable) task["maxConcurrency"] = t.malleable->maxConcurrency;
-      tasks.emplace_back(std::move(task));
-    }
-    JsonValue::Object chainObject;
-    chainObject["name"] = chain.name;
+    writer.beginObject();
     if (!chain.bindings.empty()) {
-      JsonValue::Object bindings;
+      writer.key("bindings").beginObject();
       for (const auto& [param, value] : chain.bindings) {
-        bindings[param] = value;
+        writer.member(param, value);
       }
-      chainObject["bindings"] = std::move(bindings);
+      writer.endObject();
     }
-    chainObject["tasks"] = std::move(tasks);
-    chains.emplace_back(std::move(chainObject));
+    writer.member("name", chain.name).key("tasks").beginArray();
+    for (const auto& t : chain.tasks) {
+      writer.beginObject();
+      if (t.relativeDeadline < kTimeInfinity) {
+        writer.member("deadline", unitsFromTicks(t.relativeDeadline));
+      }
+      writer.member("duration", unitsFromTicks(t.request.duration));
+      if (t.malleable) {
+        writer.member("maxConcurrency", t.malleable->maxConcurrency);
+      }
+      writer.member("name", t.name)
+          .member("processors", t.request.processors);
+      if (t.quality != 1.0) writer.member("quality", t.quality);
+      writer.endObject();
+    }
+    writer.endArray().endObject();
   }
-  JsonValue::Object root;
-  root["name"] = spec.name;
-  if (spec.qualityComposition == QualityComposition::Minimum) {
-    root["qualityComposition"] = "minimum";
-  } else {
-    root["qualityComposition"] = "multiplicative";
-  }
-  root["chains"] = std::move(chains);
-  return JsonValue(std::move(root));
+  writer.endArray()
+      .member("name", spec.name)
+      .member("qualityComposition",
+              spec.qualityComposition == QualityComposition::Minimum
+                  ? "minimum"
+                  : "multiplicative")
+      .endObject();
 }
 
 std::string toJson(const TunableJobSpec& spec) {
-  return toJsonValue(spec).dump();
+  // One schema, written once: the pretty file form is the compact form
+  // re-rendered (numbers parse back to the same doubles).
+  std::string compact;
+  JsonWriter writer(compact);
+  writeJson(writer, spec);
+  const auto parsed = parseJson(compact);
+  TPRM_CHECK(parsed.ok(), "spec holds a number JSON cannot represent");
+  return parsed.value->dump();
 }
 
 namespace {
@@ -87,6 +95,7 @@ class SpecReader {
     if (chains == nullptr || !chains->isArray()) {
       return fail("'chains' must be an array");
     }
+    spec.chains.reserve(chains->asArray().size());
     for (std::size_t c = 0; c < chains->asArray().size(); ++c) {
       auto chain = readChain(chains->asArray()[c], c);
       if (!chain) return fail(error_);
@@ -107,30 +116,37 @@ class SpecReader {
     return result;
   }
 
+  /// Location strings are built only when an error is reported: the success
+  /// path of every request pays nothing for them.
+  static std::string chainWhere(std::size_t chain) {
+    return "chains[" + std::to_string(chain) + "]";
+  }
+  static std::string taskWhere(std::size_t chain, std::size_t task) {
+    return chainWhere(chain) + ".tasks[" + std::to_string(task) + "]";
+  }
+
   std::optional<Chain> readChain(const JsonValue& value, std::size_t index) {
-    std::ostringstream where;
-    where << "chains[" << index << "]";
     if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
+      error_ = chainWhere(index) + " must be an object";
       return std::nullopt;
     }
     Chain chain;
     if (const auto* name = value.find("name")) {
       if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
+        error_ = chainWhere(index) + ".name must be a string";
         return std::nullopt;
       }
       chain.name = name->asString();
     }
     if (const auto* bindings = value.find("bindings")) {
       if (!bindings->isObject()) {
-        error_ = where.str() + ".bindings must be an object";
+        error_ = chainWhere(index) + ".bindings must be an object";
         return std::nullopt;
       }
       for (const auto& [param, bound] : bindings->asObject()) {
         if (!bound.isNumber() ||
             bound.asNumber() != std::floor(bound.asNumber())) {
-          error_ = where.str() + ".bindings." + param +
+          error_ = chainWhere(index) + ".bindings." + param +
                    " must be an integer";
           return std::nullopt;
         }
@@ -139,67 +155,65 @@ class SpecReader {
     }
     const auto* tasks = value.find("tasks");
     if (tasks == nullptr || !tasks->isArray()) {
-      error_ = where.str() + ".tasks must be an array";
+      error_ = chainWhere(index) + ".tasks must be an array";
       return std::nullopt;
     }
+    chain.tasks.reserve(tasks->asArray().size());
     for (std::size_t k = 0; k < tasks->asArray().size(); ++k) {
-      auto task = readTask(tasks->asArray()[k], where.str(), k);
+      auto task = readTask(tasks->asArray()[k], index, k);
       if (!task) return std::nullopt;
       chain.tasks.push_back(std::move(*task));
     }
     return chain;
   }
 
-  std::optional<TaskSpec> readTask(const JsonValue& value,
-                                   const std::string& chainWhere,
+  std::optional<TaskSpec> readTask(const JsonValue& value, std::size_t chain,
                                    std::size_t index) {
-    std::ostringstream where;
-    where << chainWhere << ".tasks[" << index << "]";
     if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
+      error_ = taskWhere(chain, index) + " must be an object";
       return std::nullopt;
     }
     TaskSpec task;
     if (const auto* name = value.find("name")) {
       if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
+        error_ = taskWhere(chain, index) + ".name must be a string";
         return std::nullopt;
       }
       task.name = name->asString();
     }
     const auto* processors = value.find("processors");
     if (processors == nullptr || !processors->isNumber()) {
-      error_ = where.str() + ".processors must be a number";
+      error_ = taskWhere(chain, index) + ".processors must be a number";
       return std::nullopt;
     }
     task.request.processors = static_cast<int>(processors->asNumber());
     const auto* duration = value.find("duration");
     if (duration == nullptr || !duration->isNumber()) {
-      error_ = where.str() + ".duration must be a number";
+      error_ = taskWhere(chain, index) + ".duration must be a number";
       return std::nullopt;
     }
     if (duration->asNumber() <= 0.0) {
-      error_ = where.str() + ".duration must be positive";
+      error_ = taskWhere(chain, index) + ".duration must be positive";
       return std::nullopt;
     }
     task.request.duration = ticksFromUnits(duration->asNumber());
     if (const auto* deadline = value.find("deadline")) {
       if (!deadline->isNumber()) {
-        error_ = where.str() + ".deadline must be a number";
+        error_ = taskWhere(chain, index) + ".deadline must be a number";
         return std::nullopt;
       }
       task.relativeDeadline = ticksFromUnits(deadline->asNumber());
     }
     if (const auto* quality = value.find("quality")) {
       if (!quality->isNumber()) {
-        error_ = where.str() + ".quality must be a number";
+        error_ = taskWhere(chain, index) + ".quality must be a number";
         return std::nullopt;
       }
       task.quality = quality->asNumber();
     }
     if (const auto* maxConc = value.find("maxConcurrency")) {
       if (!maxConc->isNumber()) {
-        error_ = where.str() + ".maxConcurrency must be a number";
+        error_ = taskWhere(chain, index) + ".maxConcurrency must be a number";
         return std::nullopt;
       }
       task.malleable = MalleableSpec{task.request.area(),

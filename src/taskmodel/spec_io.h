@@ -40,9 +40,9 @@ namespace tprm::task {
 /// Serialises a spec to the schema above (stable, pretty-printed).
 [[nodiscard]] std::string toJson(const TunableJobSpec& spec);
 
-/// Serialises a spec to a JsonValue (for embedding in larger documents, e.g.
-/// negotiation-service frames).
-[[nodiscard]] JsonValue toJsonValue(const TunableJobSpec& spec);
+/// Writes a spec to the schema above as one compact JSON value (for
+/// embedding in larger documents, e.g. negotiation-service frames).
+void writeJson(JsonWriter& writer, const TunableJobSpec& spec);
 
 /// Deserialisation outcome: a spec or a descriptive error.
 struct SpecParseResult {

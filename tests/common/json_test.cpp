@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string_view>
+#include <vector>
+
+#include "common/time.h"
+
 namespace tprm {
 namespace {
 
@@ -177,6 +188,91 @@ TEST(JsonRoundTrip, NumbersSurvive) {
     const auto v = parseOk(JsonValue(d).dump());
     EXPECT_DOUBLE_EQ(v.asNumber(), d);
   }
+}
+
+/// The number format dump() has always produced, written with snprintf:
+/// integral values below 1e15 as "%.0f", everything else as "%.17g".
+std::string referenceNumber(double d) {
+  char buffer[64];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", d);
+  } else {
+    std::snprintf(buffer, sizeof buffer, "%.17g", d);
+  }
+  return buffer;
+}
+
+TEST(JsonDump, NumbersAreByteIdenticalToPrintf) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, -2.0 / 3.0, 0.5, 2.5e17,
+      1e15, -1e15, 1e15 + 1, 1e15 - 1, -(1e15 + 1), -(1e15 - 1), 1e15 - 0.5,
+      999999999999999.9, 9007199254740993.0, 1e300, -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      unitsFromTicks(kTimeInfinity), unitsFromTicks(kTimeInfinity - 1),
+      unitsFromTicks(std::numeric_limits<Time>::max()),
+      unitsFromTicks(std::numeric_limits<Time>::min()), unitsFromTicks(1),
+      unitsFromTicks(-1), unitsFromTicks(123456789)};
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    // Arbitrary finite bit patterns, subnormals included.
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+    // Tick times as they cross the wire, qualities, and integers around the
+    // 1e15 switch between the two formats.
+    values.push_back(unitsFromTicks(static_cast<Time>(rng() >> 8)));
+    values.push_back(
+        std::uniform_real_distribution<double>(0.0, 1.0)(rng));
+    values.push_back(static_cast<double>(
+        static_cast<std::int64_t>(rng() % 4000000000000000ULL) -
+        2000000000000000LL));
+    values.push_back(std::ldexp(static_cast<double>(rng() >> 11),
+                                static_cast<int>(rng() % 2100) - 1100));
+  }
+  for (const double d : values) {
+    const std::string expected = referenceNumber(d);
+    ASSERT_EQ(JsonValue(d).dump(), expected) << "bits differ for " << expected;
+    // The compact (wire) form keeps integers as they were and gives every
+    // other finite value the shortest digits that parse back bit-exact.
+    const std::string compact = JsonValue(d).dumpCompact();
+    if (d == std::floor(d) && std::abs(d) < 1e15) {
+      ASSERT_EQ(compact, expected);
+    }
+    if (!std::isfinite(d)) continue;
+    ASSERT_LE(compact.size(), expected.size()) << expected;
+    const auto back = parseJson(compact);
+    ASSERT_TRUE(back.ok()) << compact;
+    const double parsed = back.value->asNumber();
+    ASSERT_EQ(std::memcmp(&parsed, &d, sizeof d), 0) << compact;
+  }
+}
+
+TEST(JsonParse, UnsortedKeysAndStringViewLookup) {
+  const auto v = parseOk(R"({"z": 1, "a": 2, "m": 3, "a": 4})");
+  ASSERT_EQ(v.asObject().size(), 3u);
+  const std::string_view key = "a";
+  ASSERT_NE(v.find(key), nullptr);
+  EXPECT_EQ(v.find(key)->asNumber(), 4.0);
+  EXPECT_EQ(v.find("z")->asNumber(), 1.0);
+  EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_EQ(v.dumpCompact(), R"({"a":4,"m":3,"z":1})");
+}
+
+TEST(JsonRoundTrip, StringsWithEscapesBetweenPlainRuns) {
+  const std::string raw = std::string("plain \"quoted\" back\\slash ") +
+                          '\x01' + "\ttab\nline\u00e9 end";
+  EXPECT_EQ(parseOk(JsonValue(raw).dump()).asString(), raw);
+  EXPECT_EQ(parseOk(JsonValue(raw).dumpCompact()).asString(), raw);
+  EXPECT_EQ(JsonValue(std::string("a\x1f")).dump(), "\"a\\u001f\"");
+  EXPECT_EQ(parseOk(R"("caf\u00e9 \/ ok")").asString(), "caf\xc3\xa9 / ok");
 }
 
 TEST(JsonDeath, TypeMismatchAborts) {

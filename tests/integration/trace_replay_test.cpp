@@ -18,6 +18,7 @@
 
 #include <unistd.h>
 
+#include "common/json.h"
 #include "qos/sharded.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -265,6 +266,55 @@ TEST(TraceReplaySingleShard, LiveDecisionsMatchSequentialReplay) {
 
   const auto requests = decodeTrace(config.recordPath);
   expectIdentical(replayInProcess(requests, 1), live);
+}
+
+// Traces recorded before frames went compact hold the 2-space pretty form of
+// each request.  Such a trace must decode to the same requests as one
+// written today and replay to the same decisions, in process and through a
+// daemon.
+TEST(TraceReplayCompatibility, PrettyPayloadTraceReplaysLikeCompact) {
+  const auto jobs = scenarioJobs("flash-crowd", 120);
+  const auto writeTrace = [&jobs](const std::string& path, bool pretty) {
+    WireTraceWriter writer;
+    std::string error;
+    ASSERT_TRUE(writer.open(path, &error)) << error;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      Request request;
+      request.id = i + 1;
+      request.command = Command::Negotiate;
+      request.payload = NegotiateRequest{jobs[i].spec, jobs[i].release};
+      WireTraceRecord record;
+      record.arrivalSeq = i;
+      record.payload = encodeRequest(request);
+      if (pretty) {
+        record.payload = parseJson(record.payload).value->dump();
+        ASSERT_NE(record.payload.find("\n  \"cmd\": \"NEGOTIATE\""),
+                  std::string::npos);
+      }
+      ASSERT_TRUE(writer.append(record, &error)) << error;
+    }
+    ASSERT_TRUE(writer.close(&error)) << error;
+  };
+  const std::string stem = testing::TempDir() + "replay_pretty_" +
+                           std::to_string(::getpid());
+  writeTrace(stem + "_compact.trace", /*pretty=*/false);
+  writeTrace(stem + "_pretty.trace", /*pretty=*/true);
+
+  const auto compact = decodeTrace(stem + "_compact.trace");
+  const auto pretty = decodeTrace(stem + "_pretty.trace");
+  ASSERT_EQ(compact.size(), jobs.size());
+  ASSERT_EQ(pretty.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(pretty[i], compact[i]) << "record " << i;
+  }
+
+  const auto expected = replayInProcess(compact, 1);
+  expectIdentical(replayInProcess(pretty, 1), expected);
+  expectIdentical(replayIntoFreshDaemon(pretty, 1), expected);
+  std::size_t admitted = 0;
+  for (const auto& decision : expected) admitted += decision.admitted ? 1 : 0;
+  EXPECT_GT(admitted, 0u);
+  EXPECT_LT(admitted, expected.size());
 }
 
 }  // namespace

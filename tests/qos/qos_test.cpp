@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.h"
+
 namespace tprm::qos {
 namespace {
 
@@ -198,6 +203,141 @@ TEST(QoSIntegration, ManyAgentsKeepLedgerConsistent) {
   const auto report = arbitrator.verify();
   EXPECT_TRUE(report.ok) << report.firstViolation;
   EXPECT_EQ(arbitrator.admittedCount() + arbitrator.rejectedCount(), 50u);
+}
+
+/// Demotes and promotes in the order offered (ascending job id).
+class OfferedOrderPolicy : public ReshapePolicy {
+ public:
+  std::vector<std::uint64_t> demotionOrder(
+      const std::vector<ElasticCandidate>& candidates,
+      const task::TunableJobSpec&, Time) const override {
+    return ids(candidates);
+  }
+  std::vector<std::uint64_t> promotionOrder(
+      const std::vector<ElasticCandidate>& demoted) const override {
+    return ids(demoted);
+  }
+
+ private:
+  static std::vector<std::uint64_t> ids(
+      const std::vector<ElasticCandidate>& candidates) {
+    std::vector<std::uint64_t> out;
+    for (const auto& candidate : candidates) out.push_back(candidate.jobId);
+    return out;
+  }
+};
+
+/// Up to three chains of one to three tasks; chain c's quality falls with c,
+/// so the elastic layer has rungs to move jobs along.
+task::TunableJobSpec randomLadderSpec(Rng& rng) {
+  task::TunableJobSpec spec;
+  spec.name = "ladder";
+  const auto chains = rng.uniformInt(1, 3);
+  for (std::int64_t c = 0; c < chains; ++c) {
+    task::Chain chain;
+    chain.name = "c" + std::to_string(c);
+    Time deadline = 0;
+    const auto tasks = rng.uniformInt(1, 3);
+    for (std::int64_t k = 0; k < tasks; ++k) {
+      const Time duration = ticksFromUnits(
+          static_cast<double>(rng.uniformInt(1, 8)) /
+          (1.0 + static_cast<double>(c)));
+      deadline += duration * rng.uniformInt(2, 5);
+      chain.tasks.push_back(task::TaskSpec::rigid(
+          "t" + std::to_string(k),
+          static_cast<int>(rng.uniformInt(1, 6 - 2 * c)), duration, deadline,
+          k == 0 ? 1.0 - 0.3 * static_cast<double>(c) : 1.0));
+    }
+    spec.chains.push_back(std::move(chain));
+  }
+  return spec;
+}
+
+// retireFinished pops a min-heap of last placement ends instead of walking
+// every live job.  A model of the old full walk — erase every live job whose
+// last placement ended by the clock, whenever the arbitrator retires — is
+// kept beside a real arbitrator through seeded submit / cancel / clock-jump /
+// resize sequences with elastic moves, and the live sets must agree after
+// every step.
+TEST(QoSArbitrator, RetireQueueMatchesFullLiveWalk) {
+  std::size_t retired = 0;
+  std::size_t moved = 0;
+  std::size_t reconfigured = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    QoSArbitrator arbitrator(8);
+    OfferedOrderPolicy policy;
+    arbitrator.attachReshapePolicy(&policy);
+    std::map<std::uint64_t, Time> lastEnd;  // the full walk's live set
+    const auto retire = [&](Time clock) {
+      for (auto it = lastEnd.begin(); it != lastEnd.end();) {
+        if (it->second <= clock) {
+          it = lastEnd.erase(it);
+          ++retired;
+        } else {
+          ++it;
+        }
+      }
+    };
+    const auto applyMoves = [&](const std::vector<QualityMove>& moves) {
+      for (const auto& move : moves) {
+        lastEnd[move.jobId] = move.schedule.placements.back().interval.end;
+        ++moved;
+      }
+    };
+    Time clock = 0;
+    for (int step = 0; step < 600; ++step) {
+      const auto op = rng.uniformInt(0, 19);
+      std::vector<QualityMove> moves;
+      if (op < 12 || op >= 18) {
+        // Submit, mostly at the same instant (so queued jobs are still
+        // movable); one in six jumps the clock far enough to retire a lot.
+        clock += op >= 18 ? ticksFromUnits(40.0) * rng.uniformInt(0, 4)
+                          : ticksFromUnits(0.5) *
+                                std::max<std::int64_t>(0, rng.uniformInt(-4, 2));
+        retire(clock);
+        const auto decision =
+            arbitrator.submit(randomLadderSpec(rng), clock, &moves);
+        applyMoves(moves);
+        if (decision.admitted) {
+          lastEnd[*arbitrator.lastJobId()] =
+              decision.schedule.placements.back().interval.end;
+        }
+      } else if (op < 16) {
+        if (!arbitrator.lastJobId().has_value()) continue;
+        const auto victim = static_cast<std::uint64_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(
+                                  *arbitrator.lastJobId())));
+        (void)arbitrator.cancel(victim, &moves);
+        lastEnd.erase(victim);
+        applyMoves(moves);
+      } else {
+        clock += ticksFromUnits(1.0) * rng.uniformInt(0, 6);
+        retire(clock);
+        const auto report = arbitrator.resize(
+            static_cast<int>(rng.uniformInt(4, 12)), clock);
+        for (const auto id : report.dropped) lastEnd.erase(id);
+        for (const auto id : report.reconfigured) {
+          Time end = 0;
+          for (const auto& r : arbitrator.ledger().reservations()) {
+            if (r.jobId == id) end = std::max(end, r.interval.end);
+          }
+          lastEnd[id] = end;
+          ++reconfigured;
+        }
+      }
+      const auto last = arbitrator.lastJobId();
+      for (std::uint64_t id = 0; last.has_value() && id <= *last; ++id) {
+        ASSERT_EQ(arbitrator.live(id), lastEnd.count(id) == 1)
+            << "seed " << seed << " step " << step << " job " << id;
+      }
+    }
+    EXPECT_TRUE(arbitrator.verify().ok) << "seed " << seed;
+  }
+  // The sequences exercised every path that sets or drops placements.
+  EXPECT_GT(retired, 100u);
+  EXPECT_GE(moved, 5u);
+  EXPECT_GT(reconfigured, 0u);
 }
 
 }  // namespace

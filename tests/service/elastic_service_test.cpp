@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -221,15 +222,25 @@ TEST(AdaptiveWindow, MapsQueuePressureToWindow) {
   EXPECT_EQ(adaptiveWindow(0, 0, 0), 1u);
 }
 
-// Tiny queue + deliberately expensive negotiations on one raw v2
-// connection: every frame is answered exactly once (no deadlock, no lost
-// responses), the connection survives, and at least one response
-// re-advertises a window below the HELLO grant.
+// Tiny queue + a burst of heavy negotiations on one raw v2 connection:
+// every frame is answered exactly once (no deadlock, no lost responses), the
+// connection survives, and at least one response re-advertises a window
+// below the HELLO grant.  The worker is held in its first batch until the
+// first busy answer arrives, so the two-slot queue is full while the burst
+// lands however fast the codec and the worker run relative to each other.
 TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   ServerConfig config;
   config.processors = 8;
   config.unixPath = freshSocketPath();
   config.commandQueueCapacity = 2;
+  std::atomic<int> seamCalls{0};
+  std::atomic<bool> seamRelease{false};
+  config.workerSeamForTest = [&] {
+    if (seamCalls.fetch_add(1) != 0) return;  // hold the first batch only
+    for (int i = 0; i < 5000 && !seamRelease.load(); ++i) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -259,8 +270,8 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   const std::uint32_t granted = grant->window;
   ASSERT_GE(granted, 2u);
 
-  // Heavy NEGOTIATEs (dozens of chains each) keep the two-slot queue full
-  // while the burst drains, so busy responses and window re-advertisements
+  // Heavy NEGOTIATEs (dozens of chains each) against the held worker: the
+  // two-slot queue fills, so busy responses and window re-advertisements
   // both fire.
   constexpr int kBurst = 60;
   std::string wire;
@@ -299,8 +310,10 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
     } else {
       ASSERT_EQ(decoded.response->error->code, "busy");
       ++busy;
+      seamRelease.store(true);
     }
   }
+  seamRelease.store(true);
   EXPECT_GE(ok, 1);
   EXPECT_GT(busy, 0);
   EXPECT_EQ(ok + busy, kBurst);

@@ -22,6 +22,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "taskmodel/spec_io.h"
+#include "workload/scenario.h"
 
 namespace tprm::service {
 namespace {
@@ -1360,6 +1361,145 @@ TEST(Protocol, RequestAndResponseCodecsRoundTrip) {
   EXPECT_EQ(out.quality, 0.6);
   EXPECT_EQ(out.placements, result.placements);
   EXPECT_EQ(out.bindings, result.bindings);
+}
+
+/// The same document in the 2-space pretty form every encoder emitted before
+/// frames went compact.
+std::string prettyForm(const std::string& compact) {
+  const auto parsed = parseJson(compact);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  return parsed.ok() ? parsed.value->dump() : std::string();
+}
+
+/// Encoders stream their output; it must be the canonical compact form
+/// (sorted keys, no whitespace) that dumpCompact() gives the same document.
+void expectCanonical(const std::string& wire) {
+  const auto parsed = parseJson(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.value->dumpCompact(), wire);
+}
+
+TEST(Protocol, EveryPresetNegotiateRoundTripsTickExact) {
+  std::size_t checked = 0;
+  for (const auto& name : workload::scenarioNames()) {
+    const auto params = workload::scenarioByName(name, 41, 200);
+    ASSERT_TRUE(params.has_value()) << name;
+    const auto scenario = workload::ScenarioGenerator(*params).generate();
+    for (const auto& job : scenario.jobs) {
+      Request request;
+      request.id = job.id + 1;
+      request.version = job.id % 2 == 0 ? kProtocolVersion : kProtocolVersionV2;
+      request.command = Command::Negotiate;
+      request.payload = NegotiateRequest{job.spec, job.release};
+      const std::string wire = encodeRequest(request);
+      expectCanonical(wire);
+      const auto decoded = decodeRequest(wire);
+      ASSERT_TRUE(decoded.ok()) << name << " job " << job.id << ": "
+                                << decoded.error;
+      EXPECT_EQ(*decoded.request, request) << name << " job " << job.id;
+      // Requests recorded or sent before frames went compact.
+      const auto pretty = decodeRequest(prettyForm(wire));
+      ASSERT_TRUE(pretty.ok()) << pretty.error;
+      EXPECT_EQ(*pretty.request, request) << name << " job " << job.id;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 4u * 200u);
+}
+
+TEST(Protocol, EveryResponseTypeRoundTripsCompactAndPretty) {
+  const std::vector<sched::TaskPlacement> placements = {
+      {TimeInterval{ticksFromUnits(12.5), ticksFromUnits(22.5)}, 4,
+       ticksFromUnits(60.0)},
+      {TimeInterval{ticksFromUnits(22.5), ticksFromUnits(31.25)}, 2,
+       kTimeInfinity}};
+  std::vector<Response> responses;
+  const auto add = [&responses](auto result) {
+    Response response;
+    response.id = responses.size() + 1;
+    response.ok = true;
+    response.result = std::move(result);
+    responses.push_back(std::move(response));
+  };
+  NegotiateResult admitted;
+  admitted.admitted = true;
+  admitted.jobId = 3;
+  admitted.arrivalSeq = 17;
+  admitted.chainIndex = 1;
+  admitted.quality = 0.6;
+  admitted.release = ticksFromUnits(12.5);
+  admitted.placements = placements;
+  admitted.bindings = {{"level", 9}, {"stride", -2}};
+  admitted.chainsConsidered = 2;
+  admitted.chainsSchedulable = 1;
+  add(admitted);
+  NegotiateResult rejected;
+  rejected.jobId = 4;
+  rejected.arrivalSeq = 18;
+  rejected.release = ticksFromUnits(13.0);
+  rejected.chainsConsidered = 3;
+  add(rejected);
+  add(CancelResult{ticksFromUnits(40.0)});
+  add(ResizeResult{32, 16, {1, 2}, {5}, {7, 9}});
+  add(StatsResult{32, ticksFromUnits(99.75), 40, 12, 57, 4});
+  add(VerifyResult{false, "job 3 task 0 over capacity", 1});
+  add(VerifyResult{true, "", 0});
+  add(HelloResult{kProtocolVersionV2, 16});
+  ReshapeEvent demotion{5, false, 0, 1, 1.0, 0.6, placements};
+  ReshapeEvent promotion{6, true, 2, 0, 0.25, 1.0, {placements.front()}};
+  add(ReshapesResult{false, {demotion}});
+  add(ReshapesResult{true, {demotion, promotion}});
+  responses.push_back(makeError(99, "busy", "queue full"));
+  responses.back().advertisedWindow = 2;
+
+  for (const auto& response : responses) {
+    const std::string wire = encodeResponse(response);
+    expectCanonical(wire);
+    const auto decoded = decodeResponse(wire);
+    ASSERT_TRUE(decoded.ok()) << wire << ": " << decoded.error;
+    EXPECT_EQ(*decoded.response, response) << wire;
+    const auto pretty = decodeResponse(prettyForm(wire));
+    ASSERT_TRUE(pretty.ok()) << pretty.error;
+    EXPECT_EQ(*pretty.response, response) << wire;
+  }
+}
+
+TEST(Protocol, FramesAreCompactWithSortedKeys) {
+  Request cancel;
+  cancel.id = 8;
+  cancel.command = Command::Cancel;
+  cancel.payload = CancelRequest{3};
+  EXPECT_EQ(encodeRequest(cancel), R"({"cmd":"CANCEL","id":8,"jobId":3,"v":1})");
+  auto busy = makeError(4, "busy", "queue full");
+  busy.advertisedWindow = 2;
+  EXPECT_EQ(encodeResponse(busy),
+            R"({"error":{"code":"busy","message":"queue full"},"id":4,)"
+            R"("ok":false,"window":2})");
+  const auto request = [](Command command, auto payload) {
+    Request r;
+    r.id = 21;
+    r.version = kProtocolVersionV2;
+    r.command = command;
+    r.payload = payload;
+    return r;
+  };
+  for (const auto& other :
+       {request(Command::Resize, ResizeRequest{48, ticksFromUnits(125.5)}),
+        request(Command::Hello, HelloRequest{32}),
+        request(Command::Stats, std::monostate{}),
+        request(Command::Verify, std::monostate{}),
+        request(Command::Reshapes, std::monostate{})}) {
+    const std::string wire = encodeRequest(other);
+    expectCanonical(wire);
+    const auto decoded = decodeRequest(wire);
+    ASSERT_TRUE(decoded.ok()) << wire << ": " << decoded.error;
+    EXPECT_EQ(*decoded.request, other) << wire;
+  }
+  // Receivers take any whitespace and key order.
+  const auto reordered =
+      decodeRequest("{ \"v\" : 1,\n\t\"jobId\": 3, \"id\":8,\r\n \"cmd\":\"CANCEL\" }");
+  ASSERT_TRUE(reordered.ok()) << reordered.error;
+  EXPECT_EQ(*reordered.request, cancel);
 }
 
 TEST(Protocol, DecodeRejectsGarbageWithoutAborting) {

@@ -166,5 +166,45 @@ TEST(Validate, ReportsChainAndTaskNames) {
   EXPECT_NE(errors[0].find("mytask"), std::string::npos);
 }
 
+// Location strings are built only on the error path; these pins keep the
+// text byte-for-byte what callers (and wire clients) have always seen.
+TEST(Validate, ErrorStringsArePinned) {
+  TunableJobSpec none;
+  none.name = "pin";
+  EXPECT_EQ(validate(none),
+            (std::vector<std::string>{"job 'pin' has no chains"}));
+
+  TunableJobSpec spec;
+  spec.name = "pin";
+  Chain empty;
+  empty.name = "none";
+  Chain shape;
+  shape.name = "shape";
+  TaskSpec zero;
+  zero.name = "t0";
+  zero.request = {0, 0};
+  shape.tasks = {TaskSpec::rigid("ok", 1, 5, 100), zero};
+  Chain falling;
+  falling.name = "falling";
+  falling.tasks = {TaskSpec::rigid("a", 1, 10, 100),
+                   TaskSpec::rigid("b", 1, 10, 50)};
+  Chain late;
+  late.name = "late";
+  late.tasks = {TaskSpec::rigid("a", 2, ticksFromUnits(2.5),
+                                ticksFromUnits(1.25))};
+  spec.chains = {empty, shape, falling, late};
+  EXPECT_EQ(
+      validate(spec),
+      (std::vector<std::string>{
+          "job 'pin' chain 0 ('none') is empty",
+          "job 'pin' chain 1 ('shape') task 1 ('t0'): processors <= 0",
+          "job 'pin' chain 1 ('shape') task 1 ('t0'): duration <= 0",
+          "job 'pin' chain 2 ('falling') task 1 ('b'): relative deadline "
+          "decreases along the chain (a deadline covers all predecessors, so "
+          "it must be non-decreasing)",
+          "job 'pin' chain 3 ('late') task 0 ('a'): infeasible even on an "
+          "idle machine (critical path 2.5 exceeds deadline 1.25)"}));
+}
+
 }  // namespace
 }  // namespace tprm::task

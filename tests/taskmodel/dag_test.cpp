@@ -115,6 +115,52 @@ TEST(ValidateDag, RejectsBadShapes) {
   EXPECT_GE(validateDag(spec).size(), 3u);
 }
 
+// Location strings are built only on the error path; these pins keep the
+// text byte-for-byte.
+TEST(ValidateDag, ErrorStringsArePinned) {
+  TunableDagJobSpec none;
+  none.name = "pin";
+  EXPECT_EQ(validateDag(none),
+            (std::vector<std::string>{"dag job 'pin' has no alternatives"}));
+
+  TunableDagJobSpec spec;
+  spec.name = "pin";
+  DagSpec empty;
+  empty.name = "none";
+  DagSpec shapes;
+  shapes.name = "shapes";
+  DagTask zero;
+  zero.spec.name = "z";
+  zero.spec.request = {0, 0};
+  zero.spec.quality = 2.0;
+  shapes.tasks = {node("ok", 1, 5, 100), zero, node("self", 1, 5, 100, {2}),
+                  node("far", 1, 5, 100, {9})};
+  DagSpec cyclic;
+  cyclic.name = "loop";
+  cyclic.tasks = {node("a", 1, 10, 1000, {1}), node("b", 1, 10, 1000, {0})};
+  DagSpec late;
+  late.name = "late";
+  late.tasks = {node("a", 1, ticksFromUnits(3.0), ticksFromUnits(100.0)),
+                node("b", 1, ticksFromUnits(3.0), ticksFromUnits(5.5), {0})};
+  spec.alternatives = {empty, shapes, cyclic, late};
+  EXPECT_EQ(
+      validateDag(spec),
+      (std::vector<std::string>{
+          "dag job 'pin' alternative 0 ('none') is empty",
+          "dag job 'pin' alternative 1 ('shapes') task 1 ('z'): processors "
+          "<= 0",
+          "dag job 'pin' alternative 1 ('shapes') task 1 ('z'): duration <= 0",
+          "dag job 'pin' alternative 1 ('shapes') task 1 ('z'): quality "
+          "outside [0, 1]",
+          "dag job 'pin' alternative 1 ('shapes') task 2 ('self'): task "
+          "depends on itself",
+          "dag job 'pin' alternative 1 ('shapes') task 3 ('far'): "
+          "predecessor index out of range",
+          "dag job 'pin' alternative 2 ('loop') contains a cycle",
+          "dag job 'pin' alternative 3 ('late') task 1 ('b'): infeasible "
+          "even on an idle machine (earliest finish 6 exceeds deadline 5.5)"}));
+}
+
 TEST(DagFromChains, PreservesStructure) {
   TunableJobSpec chains;
   chains.name = "chainjob";

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "workload/fig4.h"
 
 namespace tprm::task {
@@ -163,6 +167,71 @@ TEST(SpecIo, SchedulesIdenticallyAfterRoundTrip) {
             parsed.spec->chains[0].tasks[0].request.duration);
   EXPECT_EQ(original.chains[1].tasks[1].relativeDeadline,
             parsed.spec->chains[1].tasks[1].relativeDeadline);
+}
+
+// Every error jobSpecFromJson reports, byte for byte: the location strings
+// are built only on the error path and must not drift.
+TEST(SpecIo, ErrorStringsArePinned) {
+  const auto errorOf = [](const std::string& text) {
+    return jobSpecFromJson(text).error;
+  };
+  const std::string ok = R"({"name":"a","processors":1,"duration":1})";
+  const auto twoChains = [&ok](const std::string& secondTasks) {
+    return R"({"name":"j","chains":[{"name":"c0","tasks":[)" + ok +
+           R"(]},{"name":"c1","tasks":[)" + secondTasks + "]}]}";
+  };
+  EXPECT_EQ(errorOf(R"({"name":"j","chains":[{"name":"c","tasks":[]}]})"),
+            "invalid spec: job 'j' chain 0 ('c') is empty");
+  EXPECT_EQ(errorOf(twoChains(
+                ok + R"(,{"name":"w","processors":0,"duration":2})")),
+            "invalid spec: job 'j' chain 1 ('c1') task 1 ('w'): processors "
+            "<= 0");
+  EXPECT_EQ(errorOf(twoChains(
+                ok + R"(,{"name":"w","processors":1,"duration":-2})")),
+            "chains[1].tasks[1].duration must be positive");
+  EXPECT_EQ(errorOf(twoChains(
+                R"({"name":"a","processors":1,"duration":1,"deadline":9},)"
+                R"({"name":"b","processors":1,"duration":1,"deadline":4})")),
+            "invalid spec: job 'j' chain 1 ('c1') task 1 ('b'): relative "
+            "deadline decreases along the chain (a deadline covers all "
+            "predecessors, so it must be non-decreasing)");
+  EXPECT_EQ(errorOf(twoChains(
+                R"({"name":"a","processors":1,"duration":3,"deadline":4},)"
+                R"({"name":"b","processors":1,"duration":1.5,"deadline":4})")),
+            "invalid spec: job 'j' chain 1 ('c1') task 1 ('b'): infeasible "
+            "even on an idle machine (critical path 4.5 exceeds deadline 4)");
+
+  // Wrong field types at chains[i].tasks[k], and at the chain level.
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {R"("name":7,"processors":1,"duration":1)", "name must be a string"},
+      {R"("processors":"4","duration":1)", "processors must be a number"},
+      {R"("processors":1)", "duration must be a number"},
+      {R"("processors":1,"duration":1,"deadline":[])",
+       "deadline must be a number"},
+      {R"("processors":1,"duration":1,"quality":null)",
+       "quality must be a number"},
+      {R"("processors":1,"duration":1,"maxConcurrency":true)",
+       "maxConcurrency must be a number"}};
+  for (const auto& [body, message] : fields) {
+    EXPECT_EQ(errorOf(twoChains(ok + ",{" + body + "}")),
+              "chains[1].tasks[1]." + message);
+  }
+  EXPECT_EQ(errorOf(twoChains("3")), "chains[1].tasks[0] must be an object");
+  EXPECT_EQ(errorOf(R"({"chains":[{"tasks":[]},[]]})"),
+            "chains[1] must be an object");
+  EXPECT_EQ(errorOf(R"({"chains":[{"name":1,"tasks":[]}]})"),
+            "chains[0].name must be a string");
+  EXPECT_EQ(errorOf(R"({"chains":[{"bindings":[],"tasks":[]}]})"),
+            "chains[0].bindings must be an object");
+  EXPECT_EQ(errorOf(R"({"chains":[{"bindings":{"k":1.5},"tasks":[]}]})"),
+            "chains[0].bindings.k must be an integer");
+  EXPECT_EQ(errorOf(R"({"chains":[{"tasks":{}}]})"),
+            "chains[0].tasks must be an array");
+  EXPECT_EQ(errorOf(R"({"chains":[], "name":1})"), "'name' must be a string");
+  EXPECT_EQ(errorOf(R"({"chains":[],"qualityComposition":"max"})"),
+            "unknown qualityComposition 'max'");
+  EXPECT_EQ(errorOf("{\"chains\":[] x"),
+            "JSON error at byte 13: expected ',' or '}' in object");
 }
 
 }  // namespace
